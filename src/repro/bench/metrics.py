@@ -7,6 +7,7 @@ and an operations-over-threshold count; every experiment module reuses
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -52,6 +53,17 @@ def percentile(ordered: list[float], q: float) -> float:
         raise ValueError("q must be in [0, 1]")
     rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
     return ordered[rank]
+
+
+def nearest_rank(samples: list[float], fraction: float, digits: int) -> float | None:
+    """Nearest-rank percentile of an unsorted sample (the smallest value
+    with at least ``fraction`` of the sample at or below it), rounded to
+    the caller's ``digits``; None on an empty sample."""
+    if not samples:
+        return None
+    ordered = sorted(samples)
+    index = max(0, math.ceil(fraction * len(ordered)) - 1)
+    return round(ordered[min(index, len(ordered) - 1)], digits)
 
 
 def count_above(samples: list[float], threshold: float) -> int:

@@ -67,6 +67,11 @@ class ClientStats:
         return self.latencies.get(kind, [])
 
 
+def _unrouted(key) -> None:
+    """Owner function without shard routing: one group for every key."""
+    return None
+
+
 class Client(RpcNode):
     """A CooLSM client.
 
@@ -116,7 +121,7 @@ class Client(RpcNode):
         self.stats = ClientStats()
 
     # ------------------------------------------------------------------
-    # Fault handling: timeouts and failover
+    # Routing: the one retry loop
     # ------------------------------------------------------------------
     def _target_order(self, preferred: str | None, pool: list[str]) -> list[str]:
         """Preferred target first, then the remaining pool as alternates."""
@@ -125,40 +130,65 @@ class Client(RpcNode):
             raise ValueError("no target available")
         return [first] + [t for t in pool if t != first]
 
-    def _failover_call(
-        self,
-        preferred: str | None,
-        pool: list[str],
-        method: str,
-        request,
-        size_bytes: int = 256,
-    ):
-        """Issue an RPC with the config-derived timeout, failing over to
-        alternate targets.
+    def _owner(self, explicit: str | None):
+        """The owner function that groups a call's keys.
 
-        Every client RPC goes through here (or the equivalent loop in
-        :meth:`read`), so a crashed node surfaces as
-        :class:`~repro.sim.rpc.RpcTimeout` after the retry budget —
-        never as a driver hung forever on ``timeout=None``.  Returns
-        ``(serving_target, reply)``.
-
-        Backpressure replies (admission control shedding writes) are
-        retried against the *same* target with exponential backoff and
-        their own, much larger budget — the node is healthy and asking
-        the client to slow down, so failing over or burning the failover
-        budget would defeat flow control.
+        Under a shard map each key goes to its shard owner, looked up
+        afresh on every call because a refresh replaces the map.  With
+        no map, or with an explicit target, every key falls in one group
+        aimed at the current failover target.
         """
-        order = self._target_order(preferred, pool)
-        last_error: Exception | None = None
-        attempt = 0
-        bp_retries = 0
+        if self.shard_map is None or explicit is not None:
+            return _unrouted
+        return lambda key: self.shard_map.owner_of(key)
+
+    def _route(
+        self, method: str, build, preferred: str | None, pool=None, keys=None, on_reply=None
+    ):
+        """Send a call's ops grouped by owner, retrying until every group
+        is acked.  Every Ingestor and Reader RPC the client sends goes
+        through here, except the two-phase read's.
+
+        ``keys`` (one per op) are grouped by :meth:`_owner`; a key-less
+        call (scans, Reader calls) is one unrouted group.  ``pool`` is
+        the failover pool (default: the Ingestors).  ``build(group)``
+        returns ``(request, size_bytes)`` for the op indices in
+        ``group``, and ``on_reply(target, group, reply)`` runs as each
+        group is acked.  Returns ``(target, reply)`` of the last group.
+
+        * An unrouted group fails over to the next pool target on a
+          timeout (or any other error), so a crashed node surfaces as
+          :class:`~repro.sim.rpc.RpcTimeout` instead of a hung driver.
+        * An owner-routed group has no alternate target, only a fresher
+          map.  WrongShard refreshes the map and regroups the unacked
+          ops (after a split one old group straddles two owners),
+          backing off while no fresher map exists, as in a split's
+          fence → activate window.  A timeout refreshes and backs off.
+        * Backpressure retries the *same* target with backoff and its
+          own, larger budget: the node is healthy and asking the client
+          to slow down, so failing over would defeat flow control.
+
+        Budgets and backoff are per call (for a batch, the whole batch).
+        """
+        budget = self.config.client_retry_budget
+        owner_of = _unrouted if keys is None else self._owner(preferred)
+        keys = [None] if keys is None else keys
+        order = self._target_order(preferred, self.ingestors if pool is None else pool)
+        pending = list(range(len(keys)))
+        failures = redirects = bp_retries = 0
         backoff = self.config.forward_backoff_base
         prev_target: str | None = None
-        while attempt < self.config.client_retry_budget:
-            target = order[attempt % len(order)]
-            if prev_target is not None and target != prev_target:
-                self.stats.failovers += 1
-            prev_target = target
+        served = None
+        while pending:
+            owner = owner_of(keys[pending[0]])
+            group = [i for i in pending if owner_of(keys[i]) == owner]
+            target = owner
+            if owner is None:
+                target = order[failures % len(order)]
+                if prev_target is not None and target != prev_target:
+                    self.stats.failovers += 1
+                prev_target = target
+            request, size_bytes = build(group)
             try:
                 reply = yield self.call(
                     target,
@@ -167,24 +197,43 @@ class Client(RpcNode):
                     size_bytes=size_bytes,
                     timeout=self.config.request_timeout,
                 )
-                return target, reply
             except (RpcTimeout, RemoteError) as error:
-                last_error = error
                 if is_backpressure(error):
                     self.stats.backpressure_retries += 1
                     bp_retries += 1
-                    if bp_retries > 8 * self.config.client_retry_budget:
-                        raise last_error
-                    yield self.kernel.timeout(backoff)
-                    backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
+                    if bp_retries > 8 * budget:
+                        raise
+                    backoff = yield from self._back_off(backoff)
+                    continue
+                if owner is not None and is_wrong_shard(error):
+                    self.stats.shard_redirects += 1
+                    redirects += 1
+                    if redirects > 8 * budget:
+                        raise
+                    refreshed = yield from self._refresh_shard_map()
+                    if not refreshed:
+                        backoff = yield from self._back_off(backoff)
                     continue
                 self.stats.timeouts += 1
-                attempt += 1
-        raise last_error
+                failures += 1
+                if failures >= budget:
+                    raise
+                if owner is not None:
+                    yield from self._refresh_shard_map()
+                    backoff = yield from self._back_off(backoff)
+                continue
+            if on_reply is not None:
+                on_reply(target, group, reply)
+            served = (target, reply)
+            acked = set(group)
+            pending = [i for i in pending if i not in acked]
+        return served
 
-    # ------------------------------------------------------------------
-    # Sharded routing (live scale-out)
-    # ------------------------------------------------------------------
+    def _back_off(self, delay: float):
+        """Sleep ``delay``; returns the next delay (doubled, capped)."""
+        yield self.kernel.timeout(delay)
+        return min(delay * 2.0, self.config.forward_backoff_cap)
+
     def _refresh_shard_map(self):
         """Try to fetch a strictly newer shard map from any live node.
 
@@ -215,60 +264,6 @@ class Client(RpcNode):
                 return True
         return False
 
-    def _sharded_call(self, key: bytes, method: str, request, size_bytes: int = 256):
-        """Owner-routed RPC: WrongShard bounces refresh the map and
-        re-route instead of burning the failover budget.
-
-        During a split's fence→activate window no node serves the
-        moving range; redirects that find no fresher map back off
-        (bounded) until the new owner goes live.  Other failures retry
-        the owner — in sharded mode there is no alternate target, only
-        a fresher map.
-        """
-        failures = 0
-        redirects = 0
-        bp_retries = 0
-        backoff = self.config.forward_backoff_base
-        last_error: Exception | None = None
-        while True:
-            target = self.shard_map.owner_of(key)
-            try:
-                reply = yield self.call(
-                    target,
-                    method,
-                    request,
-                    size_bytes=size_bytes,
-                    timeout=self.config.request_timeout,
-                )
-                return target, reply
-            except (RpcTimeout, RemoteError) as error:
-                last_error = error
-                if is_backpressure(error):
-                    self.stats.backpressure_retries += 1
-                    bp_retries += 1
-                    if bp_retries > 8 * self.config.client_retry_budget:
-                        raise last_error
-                    yield self.kernel.timeout(backoff)
-                    backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-                    continue
-                if is_wrong_shard(error):
-                    self.stats.shard_redirects += 1
-                    redirects += 1
-                    if redirects > 8 * self.config.client_retry_budget:
-                        raise last_error
-                    refreshed = yield from self._refresh_shard_map()
-                    if not refreshed:
-                        yield self.kernel.timeout(backoff)
-                        backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-                    continue
-                self.stats.timeouts += 1
-                failures += 1
-                if failures >= self.config.client_retry_budget:
-                    raise last_error
-                yield from self._refresh_shard_map()
-                yield self.kernel.timeout(backoff)
-                backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-
     def _member_read(self, member: str, request: ReadRequest):
         """Phase-2 helper: bounded-retry read against one Compactor.
         Raises after the budget — a missing member's answer could hide
@@ -290,9 +285,7 @@ class Client(RpcNode):
     # ------------------------------------------------------------------
     def upsert(self, key, value, ingestor: str | None = None):
         """Insert or overwrite ``key``; returns the assigned timestamp."""
-        encoded_key = encode_key(key)
-        encoded_value = encode_value(value)
-        request = UpsertRequest(encoded_key, encoded_value)
+        request = UpsertRequest(encode_key(key), encode_value(value))
         return (yield from self._do_upsert(request, ingestor))
 
     def delete(self, key, ingestor: str | None = None):
@@ -302,41 +295,30 @@ class Client(RpcNode):
 
     def _do_upsert(self, request: UpsertRequest, ingestor: str | None):
         invoked = self.kernel.now
-        if self.shard_map is not None and ingestor is None:
-            target, reply = yield from self._sharded_call(
-                request.key, "upsert", request,
-                size_bytes=64 + len(request.value),
-            )
-        else:
-            target, reply = yield from self._failover_call(
-                ingestor, self.ingestors, "upsert", request,
-                size_bytes=64 + len(request.value),
-            )
+        target, reply = yield from self._route(
+            "upsert", lambda group: (request, 64 + len(request.value)), ingestor,
+            keys=[request.key],
+        )
         assert isinstance(reply, UpsertReply)
-        latency = self.kernel.now - invoked
-        self.stats.record("write", latency)
-        if self.history is not None:
-            self.history.record(
-                "write",
-                request.key,
-                None if request.tombstone else request.value,
-                invoked,
-                self.kernel.now,
-                reply.timestamp,
-                client=self.name,
-                server=target,
-            )
+        self._record_writes([request], [reply], target, invoked)
         return reply
 
     def upsert_many(self, items, ingestor: str | None = None):
-        """Insert or overwrite many keys with ONE batched RPC.
+        """Insert or overwrite many keys with ONE batched RPC per owner.
 
         ``items`` is an iterable of ``(key, value)`` pairs; they are
         applied by the Ingestor in order and each gets its own stamped
-        :class:`UpsertReply` (returned as a list, in order).  The whole
-        batch retries/fails over as a unit — safe because re-upserting
-        the same values is idempotent, the same argument that covers a
-        single upsert whose ack was lost.
+        :class:`UpsertReply` (returned as a list, in order).  Under a
+        shard map the batch goes out as one RPC per owner, and a
+        WrongShard bounce regroups the unacked ops.
+
+        A group whose ack is lost is retried whole, so its ops may be
+        applied twice.  That is harmless while no other client writes
+        the same keys, but a re-applied upsert can overwrite another
+        client's newer write to its key — the same hazard as a retried
+        single upsert.  Exactly-once writes (a per-op id the Ingestor
+        deduplicates) are the open "Exactly-once writes" item in
+        ROADMAP.md.
         """
         requests = tuple(
             UpsertRequest(encode_key(key), encode_value(value))
@@ -347,19 +329,30 @@ class Client(RpcNode):
     def _do_upsert_batch(self, requests: tuple[UpsertRequest, ...], ingestor: str | None):
         if not requests:
             return []
-        if self.shard_map is not None and ingestor is None:
-            return (yield from self._do_upsert_batch_sharded(requests))
         invoked = self.kernel.now
-        size = 64 + sum(32 + len(r.key) + len(r.value) for r in requests)
-        target, reply = yield from self._failover_call(
-            ingestor, self.ingestors, "upsert_batch",
-            UpsertBatchRequest(requests), size_bytes=size,
+        replies: list[UpsertReply | None] = [None] * len(requests)
+
+        def build(group):
+            ops = tuple(requests[i] for i in group)
+            return UpsertBatchRequest(ops), 64 + sum(32 + len(r.key) + len(r.value) for r in ops)
+
+        def acked(target, group, reply):
+            assert isinstance(reply, UpsertBatchReply)
+            for index, op_reply in zip(group, reply.replies):
+                replies[index] = op_reply
+            self._record_writes([requests[i] for i in group], reply.replies, target, invoked)
+
+        yield from self._route(
+            "upsert_batch", build, ingestor,
+            keys=[request.key for request in requests], on_reply=acked,
         )
-        assert isinstance(reply, UpsertBatchReply)
+        return replies
+
+    def _record_writes(self, requests, replies, server: str, invoked: float) -> None:
+        """Record each acked write's latency and history operation."""
         completed = self.kernel.now
-        latency = completed - invoked
-        for request, op_reply in zip(requests, reply.replies):
-            self.stats.record("write", latency)
+        for request, reply in zip(requests, replies):
+            self.stats.record("write", completed - invoked)
             if self.history is not None:
                 self.history.record(
                     "write",
@@ -367,94 +360,10 @@ class Client(RpcNode):
                     None if request.tombstone else request.value,
                     invoked,
                     completed,
-                    op_reply.timestamp,
+                    reply.timestamp,
                     client=self.name,
-                    server=target,
+                    server=server,
                 )
-        return list(reply.replies)
-
-    def _do_upsert_batch_sharded(self, requests: tuple[UpsertRequest, ...]):
-        """Apply a mixed batch under shard routing.
-
-        The batch is grouped per shard owner *under the current map*
-        and each group goes out as one ``upsert_batch`` RPC.  A
-        WrongShard bounce refreshes the map and the still-unacked ops
-        are regrouped — after a split a group that used to be one
-        owner's keys legitimately straddles two owners, so regrouping
-        (not blind retry) is what terminates.  Replies come back in the
-        original op order.
-        """
-        invoked = self.kernel.now
-        replies: list[UpsertReply | None] = [None] * len(requests)
-        pending = list(range(len(requests)))
-        failures = 0
-        redirects = 0
-        bp_retries = 0
-        backoff = self.config.forward_backoff_base
-        last_error: Exception | None = None
-        while pending:
-            owner = self.shard_map.owner_of(requests[pending[0]].key)
-            group = [
-                i for i in pending
-                if self.shard_map.owner_of(requests[i].key) == owner
-            ]
-            group_requests = tuple(requests[i] for i in group)
-            size = 64 + sum(32 + len(r.key) + len(r.value) for r in group_requests)
-            try:
-                reply = yield self.call(
-                    owner,
-                    "upsert_batch",
-                    UpsertBatchRequest(group_requests),
-                    size_bytes=size,
-                    timeout=self.config.request_timeout,
-                )
-            except (RpcTimeout, RemoteError) as error:
-                last_error = error
-                if is_backpressure(error):
-                    self.stats.backpressure_retries += 1
-                    bp_retries += 1
-                    if bp_retries > 8 * self.config.client_retry_budget:
-                        raise last_error
-                    yield self.kernel.timeout(backoff)
-                    backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-                    continue
-                if is_wrong_shard(error):
-                    self.stats.shard_redirects += 1
-                    redirects += 1
-                    if redirects > 8 * self.config.client_retry_budget:
-                        raise last_error
-                    refreshed = yield from self._refresh_shard_map()
-                    if not refreshed:
-                        yield self.kernel.timeout(backoff)
-                        backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-                    continue
-                self.stats.timeouts += 1
-                failures += 1
-                if failures >= self.config.client_retry_budget:
-                    raise last_error
-                yield from self._refresh_shard_map()
-                yield self.kernel.timeout(backoff)
-                backoff = min(backoff * 2.0, self.config.forward_backoff_cap)
-                continue
-            assert isinstance(reply, UpsertBatchReply)
-            completed = self.kernel.now
-            for index, op_reply in zip(group, reply.replies):
-                replies[index] = op_reply
-                request = requests[index]
-                self.stats.record("write", completed - invoked)
-                if self.history is not None:
-                    self.history.record(
-                        "write",
-                        request.key,
-                        None if request.tombstone else request.value,
-                        invoked,
-                        completed,
-                        op_reply.timestamp,
-                        client=self.name,
-                        server=owner,
-                    )
-            pending = [i for i in pending if i not in set(group)]
-        return replies
 
     # ------------------------------------------------------------------
     # Reads
@@ -485,29 +394,16 @@ class Client(RpcNode):
                     self.stats.timeouts += 1
             if last_error is not None:
                 raise last_error
-        elif self.shard_map is not None and coordinator is None:
-            # Sharded: exactly one Ingestor serves this key, so the
-            # single-Ingestor read path applies per shard.
-            __, reply = yield from self._sharded_call(
-                encoded, "read", ReadRequest(encoded)
-            )
-            entry = reply.entry
-            stamp = entry.timestamp if entry is not None else 0.0
         else:
-            __, reply = yield from self._failover_call(
-                coordinator, self.ingestors, "read", ReadRequest(encoded)
+            # Single Ingestor, or sharded: exactly one Ingestor serves
+            # this key, so the single-Ingestor read path applies.
+            request = ReadRequest(encoded)
+            __, reply = yield from self._route(
+                "read", lambda group: (request, 256), coordinator, keys=[encoded]
             )
             entry = reply.entry
             stamp = entry.timestamp if entry is not None else 0.0
-        latency = self.kernel.now - invoked
-        self.stats.record("read", latency)
-        value = self._value_of(entry)
-        if self.history is not None:
-            self.history.record(
-                "read", encoded, value, invoked, self.kernel.now, stamp,
-                client=self.name,
-            )
-        return value
+        return self._record_read("read", encoded, entry, stamp, invoked)
 
     def _two_phase_read(self, key: bytes, coordinator: str | None):
         """Section III-E.2's two-phase multi-Ingestor read."""
@@ -551,18 +447,22 @@ class Client(RpcNode):
             raise ValueError("deployment has no Readers")
         encoded = encode_key(key)
         invoked = self.kernel.now
-        target, reply = yield from self._failover_call(
-            reader, self.readers, "read", ReadRequest(encoded)
+        request = ReadRequest(encoded)
+        target, reply = yield from self._route(
+            "read", lambda group: (request, 256), reader, pool=self.readers
         )
-        latency = self.kernel.now - invoked
-        self.stats.record("backup_read", latency)
         entry = reply.entry
-        value = self._value_of(entry)
+        stamp = entry.timestamp if entry is not None else 0.0
+        return self._record_read("backup_read", encoded, entry, stamp, invoked, target)
+
+    def _record_read(self, kind, key, entry, stamp, invoked, server=""):
+        """Record a completed point read; returns its value."""
+        self.stats.record(kind, self.kernel.now - invoked)
+        value = None if entry is None or entry.tombstone else entry.value
         if self.history is not None:
             self.history.record(
-                "read", encoded, value, invoked, self.kernel.now,
-                entry.timestamp if entry is not None else 0.0,
-                client=self.name, server=target,
+                "read", key, value, invoked, self.kernel.now, stamp,
+                client=self.name, server=server,
             )
         return value
 
@@ -574,33 +474,23 @@ class Client(RpcNode):
         lagging Reader snapshot) but interferes with the ingestion path.
         Returns sorted (key, value) pairs, tombstones elided.
         """
-        request = RangeQuery(encode_key(lo), encode_key(hi), limit)
-        invoked = self.kernel.now
-        __, reply = yield from self._failover_call(
-            ingestor, self.ingestors, "range_query", request, size_bytes=64
-        )
-        assert isinstance(reply, RangeQueryReply)
-        self.stats.record("scan", self.kernel.now - invoked)
-        return list(reply.pairs)
+        return (yield from self._range("scan", lo, hi, limit, ingestor, self.ingestors))
 
     def analytics_query(self, lo, hi, limit: int | None = None, reader: str | None = None):
         """Range query served by a Reader (the paper's analytics task)."""
         if not self.readers and reader is None:
             raise ValueError("deployment has no Readers")
+        return (yield from self._range("analytics", lo, hi, limit, reader, self.readers))
+
+    def _range(self, kind: str, lo, hi, limit, target: str | None, pool: list[str]):
         request = RangeQuery(encode_key(lo), encode_key(hi), limit)
         invoked = self.kernel.now
-        __, reply = yield from self._failover_call(
-            reader, self.readers, "range_query", request, size_bytes=64
+        __, reply = yield from self._route(
+            "range_query", lambda group: (request, 64), target, pool=pool
         )
         assert isinstance(reply, RangeQueryReply)
-        self.stats.record("analytics", self.kernel.now - invoked)
+        self.stats.record(kind, self.kernel.now - invoked)
         return list(reply.pairs)
-
-    @staticmethod
-    def _value_of(entry: Entry | None) -> bytes | None:
-        if entry is None or entry.tombstone:
-            return None
-        return entry.value
 
 
 class ClientPipeline:
@@ -706,28 +596,30 @@ class ClientPipeline:
             self.kernel.spawn(self._pump(), f"{self.client.name}.pipeline.pump")
 
     def _take_batch(self) -> list[tuple[UpsertRequest, float]]:
-        """Pull the next batch off the buffer.
+        """Pull the next batch off the buffer: up to ``max_batch``
+        buffered ops with the first op's owner, keeping the rest, in
+        order, for later batches.
 
-        Under shard routing every batch must land on one owner (a mixed
-        batch would bounce whole), so take up to ``max_batch`` buffered
-        ops owned by the first op's shard and keep the rest, in order,
-        for later batches — per-shard pipelining is preserved because
-        each shard's ops drain through their own batches while other
-        shards' batches are in flight.
+        Under shard routing every batch is cut to one owner, so it goes
+        out as one RPC (a mixed batch would send its groups one owner
+        after another); per-shard pipelining is preserved because each
+        shard's ops drain through their own batches while other shards'
+        batches are in flight.  Unrouted, every op has the same
+        (``None``) owner, so this is the buffer's head.
         """
-        shard_map = self.client.shard_map
-        if shard_map is None or self.ingestor is not None:
-            batch = self._buffer[: self.max_batch]
-            del self._buffer[: self.max_batch]
-            return batch
-        owner = shard_map.owner_of(self._buffer[0][0].key)
+        owner_of = self.client._owner(self.ingestor)
+        buffer = self._buffer
+        owner = owner_of(buffer[0][0].key)
         batch: list[tuple[UpsertRequest, float]] = []
         rest: list[tuple[UpsertRequest, float]] = []
-        for item in self._buffer:
-            if len(batch) < self.max_batch and shard_map.owner_of(item[0].key) == owner:
-                batch.append(item)
-            else:
+        for index, item in enumerate(buffer):
+            if owner_of(item[0].key) != owner:
                 rest.append(item)
+                continue
+            batch.append(item)
+            if len(batch) == self.max_batch:
+                rest.extend(buffer[index + 1:])
+                break
         self._buffer = rest
         return batch
 

@@ -7,10 +7,10 @@ synthetic documents so a gate bug cannot hide behind a slow run.
 
 from repro.bench.chaos_bench import (
     SLA_WINDOW_S,
-    _percentile,
     _recovery_to_sla,
     check_regression,
 )
+from repro.bench.metrics import nearest_rank
 
 
 def _document(**overrides) -> dict:
@@ -70,15 +70,15 @@ class TestRecoveryToSla:
 
 class TestPercentile:
     def test_empty_is_none(self):
-        assert _percentile([], 0.5) is None
+        assert nearest_rank([], 0.5, 5) is None
 
     def test_median_and_tail(self):
         samples = [float(i) for i in range(1, 101)]
-        assert _percentile(samples, 0.5) == 50.0
-        assert _percentile(samples, 0.99) == 99.0
+        assert nearest_rank(samples, 0.5, 5) == 50.0
+        assert nearest_rank(samples, 0.99, 5) == 99.0
 
     def test_unsorted_input(self):
-        assert _percentile([3.0, 1.0, 2.0], 0.5) == 2.0
+        assert nearest_rank([3.0, 1.0, 2.0], 0.5, 5) == 2.0
 
 
 class TestCheckRegression:

@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.client import ClientPipeline
+from repro.lsm.entry import encode_key
 from repro.sim.rpc import RemoteError, RpcTimeout
 
 from tests.core.conftest import TINY, tiny_cluster
@@ -160,3 +161,100 @@ class TestClientPipeline:
             ClientPipeline(client, max_batch=0)
         with pytest.raises(ValueError):
             ClientPipeline(client, depth=0)
+
+
+class TestShardedBatchUnderSplit:
+    """``upsert_many`` and :class:`ClientPipeline` under a shard map,
+    with an online split (the live runtime's coordinator, run on the sim
+    kernel) moving a range that the batch's keys straddle."""
+
+    BOUNDARY = TINY.key_range // 4  # cuts ingestor-0's half
+
+    def _cluster(self):
+        return tiny_cluster(num_ingestors=2, sharded=True, spare_ingestors=1)
+
+    def _split(self, cluster):
+        from repro.live.membership import split_ingestor_shard
+
+        admin = cluster.add_client(colocate_with="ingestor-0", record_history=False)
+        return split_ingestor_shard(
+            admin,
+            cluster.spec.initial_shard_map(),
+            self.BOUNDARY,
+            "ingestor-2",
+            others=["ingestor-0", "ingestor-1"],
+            history=cluster.history,
+        )
+
+    def _fenced(self, cluster):
+        """Generator: park until the split has fenced the source."""
+        while "shard.fence" not in [m.label for m in cluster.history.marks]:
+            yield cluster.kernel.timeout(0.001)
+
+    def test_batch_straddling_a_moving_range_completes_in_op_order(self):
+        cluster = self._cluster()
+        client = cluster.add_client(colocate_with="ingestor-0")
+        # Ingestor-1's keys first, then keys on both sides of the split
+        # boundary; all unique so each history op names one write.
+        keys = [1500, 1501, self.BOUNDARY - 2, self.BOUNDARY + 3,
+                self.BOUNDARY - 1, self.BOUNDARY + 7, 1502, 10]
+        items = [(key, b"m-%d" % key) for key in keys]
+        split = cluster.kernel.spawn(self._split(cluster), "split")
+
+        def driver():
+            # Issued inside the fence -> activate window: the moving
+            # range bounces until the new owner goes live, so the split
+            # completes while this batch is in flight.
+            yield from self._fenced(cluster)
+            replies = yield from client.upsert_many(items)
+            new_map, __ = yield split
+            return replies, new_map
+
+        replies, new_map = cluster.run_process(driver())
+        assert len(replies) == len(keys)
+        assert all(reply is not None for reply in replies)
+        # Replies in op order: each op's reply stamp equals the stamp
+        # the history recorded for that op's key.
+        by_key = {op.key: op for op in cluster.history.operations}
+        for key, reply in zip(keys, replies):
+            op = by_key[encode_key(key)]
+            assert op.timestamp == reply.timestamp
+            assert op.value == b"m-%d" % key
+            assert op.server == new_map.owner_of(key)
+        assert {op.server for op in by_key.values()} == {
+            "ingestor-0", "ingestor-1", "ingestor-2"
+        }
+        assert client.stats.shard_redirects > 0
+        assert client.stats.map_refreshes > 0
+
+    def test_every_pipeline_batch_goes_to_one_owner(self):
+        cluster = self._cluster()
+        client = cluster.add_client(colocate_with="ingestor-0")
+        pipeline = ClientPipeline(client, max_batch=4, depth=2)
+        batch_owners = []
+        take_batch = pipeline._take_batch
+
+        def recording_take_batch():
+            batch = take_batch()
+            batch_owners.append(
+                {client.shard_map.owner_of(request.key) for request, __ in batch}
+            )
+            return batch
+
+        pipeline._take_batch = recording_take_batch
+        split = cluster.kernel.spawn(self._split(cluster), "split")
+        # Interleaved owners: consecutive keys alternate between shards.
+        keys = [k for i in range(30) for k in (i, 1000 + i, self.BOUNDARY + i)]
+
+        def driver():
+            for key in keys:
+                yield from pipeline.put(key, b"p-%d" % key)
+                yield cluster.kernel.timeout(0.002)
+            yield from pipeline.drain()
+            yield split
+
+        cluster.run_process(driver())
+        assert pipeline.ops_acked == len(keys)
+        assert batch_owners and all(len(owners) == 1 for owners in batch_owners)
+        assert sum(node.stats.upserts for node in cluster.ingestors) == len(keys)
+        assert client.stats.shard_redirects > 0

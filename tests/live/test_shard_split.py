@@ -69,7 +69,11 @@ def split_run(tmp_path_factory):
         assert new_owner not in cluster.processes  # spare not launched
 
         async def drive():
-            load_on = asyncio.Event()
+            # Set once both writers are in the moving-range loop, which
+            # runs until the split is done: the split cannot finish
+            # before the load it must overlap has started.
+            both_moving = asyncio.Event()
+            moving: set[int] = set()
             split_done = asyncio.Event()
 
             async with ClientPool(spec, num_clients=2, history=history) as pool:
@@ -84,8 +88,6 @@ def split_run(tmp_path_factory):
                         value = b"split-%d-%d" % (phase, index)
                         yield from pipe.put(key, value)
                         staged[encode_key(key)] = value
-                        if index == 64:
-                            load_on.set()
                     # Keep writing until the split lands, aimed at the
                     # *moving* range so the fence window actually sees
                     # pipelined load bounce, refresh, and re-route.
@@ -93,6 +95,9 @@ def split_run(tmp_path_factory):
                     # writer phase, overflowing to a fresh region.
                     # (Residues 2+phase mod 4 — disjoint from the
                     # stride-16 main/tail keys, which are 0/1 mod 4.)
+                    moving.add(phase)
+                    if len(moving) == 2:
+                        both_moving.set()
                     extra = 0
                     while not split_done.is_set():
                         key = boundary + extra * 4 + 2 + phase
@@ -119,7 +124,7 @@ def split_run(tmp_path_factory):
                     }
 
                 async def run_split():
-                    await load_on.wait()
+                    await both_moving.wait()
                     try:
                         await asyncio.to_thread(cluster.add_node, new_owner)
                         admin = pool.backup_client("client-3")
